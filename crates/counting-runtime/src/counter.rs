@@ -55,7 +55,8 @@ pub trait SharedCounter: Sync {
 }
 
 /// The contiguous-block reservation capability consumed by the
-/// elimination layer ([`crate::elimination::EliminationCounter`]).
+/// elimination layer ([`crate::elimination::EliminationCounter`]) and the
+/// service registry.
 ///
 /// One call reserves the exactly-sized block `base..base + k` and returns
 /// `base`. Blocks **tile** the value space: the union of all blocks ever
@@ -64,16 +65,25 @@ pub trait SharedCounter: Sync {
 /// reservations ([`SharedCounter::next_batch`] on network-backed
 /// counters) only provide for uniform `k` and balanced traversal counts.
 ///
-/// The centralized counters implement this with the same state as their
-/// `next` path, so block and per-value operations may be mixed freely on
-/// one instance. The network-backed counters ([`NetworkCounter`],
-/// [`crate::DiffractingCounter`]) pay one structure traversal per block —
-/// preserving the paper's contention-diffusing traffic shape — and then
-/// draw the block from a dedicated contiguous cursor, a *separate* value
-/// stream from their per-wire stride dispensers. On those counters an
-/// instance must be driven either through `next`/`next_batch` or through
-/// `reserve_block`, never both; the elimination layer enforces this by
-/// taking ownership of the counter it wraps.
+/// Every block is drawn from one word: the centralized counters' `next`
+/// state, or the network-backed counters' ([`NetworkCounter`],
+/// [`crate::DiffractingCounter`]) dedicated contiguous cursor — a
+/// *separate* value stream from their per-wire stride dispensers. On
+/// those counters an instance must be driven either through
+/// `next`/`next_batch` or through the block methods, never both; the
+/// elimination layer enforces this by taking ownership of the counter it
+/// wraps. The centralized counters share the word with `next`, so block
+/// and per-value operations mix freely there.
+///
+/// Hand-outs escalate only under contention. A caller first makes one
+/// [`Self::try_reserve_block`] attempt: a single `compare_exchange` on
+/// the block word, about the cost of a central `fetch_add` when nobody
+/// else is reserving. Only when that CAS loses does it call
+/// [`Self::reserve_block`], which is where contention is spread: the
+/// elimination arena merges colliding requests, and the network-backed
+/// counters pace each block through one traversal of their balancer
+/// fabric before the cursor `fetch_add`. Both methods advance the same
+/// word, so blocks from either path tile one value stream.
 pub trait BlockReserve: SharedCounter {
     /// Reserves the contiguous block `base..base + k` and returns `base`.
     ///
@@ -81,6 +91,38 @@ pub trait BlockReserve: SharedCounter {
     ///
     /// Panics if `k` is zero.
     fn reserve_block(&self, thread_id: usize, k: usize) -> u64;
+
+    /// One attempt at [`Self::reserve_block`] that never waits: a single
+    /// `compare_exchange` advancing the block word by `k`. Returns the
+    /// block's base, or `None` — with nothing reserved — when the CAS
+    /// loses to a concurrent reservation. Counters without a lock-free
+    /// block word (the default, and [`LockCounter`]) always refuse.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is zero on every counter that makes the attempt (the
+    /// default refuses without looking at `k`).
+    fn try_reserve_block(&self, k: usize) -> Option<u64> {
+        let _ = k;
+        None
+    }
+}
+
+/// The single `compare_exchange` behind every
+/// [`BlockReserve::try_reserve_block`]: advances `word` from `expected`
+/// to `expected + k` and returns `expected`, or returns `None` and leaves
+/// `word` untouched when it no longer holds `expected`.
+fn advance_from(word: &AtomicU64, expected: u64, k: usize) -> Option<u64> {
+    assert!(k > 0, "a block reservation needs at least one value");
+    // Relaxed: as for the `fetch_add` paths, the word's modification
+    // order alone makes blocks contiguous and disjoint; a refused CAS
+    // writes nothing.
+    word.compare_exchange(expected, expected + k as u64, Ordering::Relaxed, Ordering::Relaxed).ok()
+}
+
+/// [`advance_from`] the word's current value: one block-word CAS.
+pub(crate) fn try_advance(word: &AtomicU64, k: usize) -> Option<u64> {
+    advance_from(word, word.load(Ordering::Relaxed), k)
 }
 
 /// Delegation through smart pointers: a boxed counter is a counter, so
@@ -106,6 +148,10 @@ impl<C: BlockReserve + ?Sized> BlockReserve for Box<C> {
     fn reserve_block(&self, thread_id: usize, k: usize) -> u64 {
         (**self).reserve_block(thread_id, k)
     }
+
+    fn try_reserve_block(&self, k: usize) -> Option<u64> {
+        (**self).try_reserve_block(k)
+    }
 }
 
 /// Shared-ownership delegation: `Arc<dyn SharedCounter + Send + Sync>` is
@@ -129,6 +175,10 @@ impl<C: SharedCounter + Send + ?Sized> SharedCounter for std::sync::Arc<C> {
 impl<C: BlockReserve + Send + ?Sized> BlockReserve for std::sync::Arc<C> {
     fn reserve_block(&self, thread_id: usize, k: usize) -> u64 {
         (**self).reserve_block(thread_id, k)
+    }
+
+    fn try_reserve_block(&self, k: usize) -> Option<u64> {
+        (**self).try_reserve_block(k)
     }
 }
 
@@ -209,17 +259,20 @@ impl SharedCounter for NetworkCounter {
 impl BlockReserve for NetworkCounter {
     fn reserve_block(&self, thread_id: usize, k: usize) -> u64 {
         assert!(k > 0, "a block reservation needs at least one value");
-        // One traversal per block keeps the network's contention-diffusing
-        // role (threads are paced through the balancer fabric exactly as
-        // for a stride reservation); the value range itself comes from
+        // The contended path (see the trait docs): one traversal per
+        // block paces the caller through the balancer fabric exactly as
+        // a stride reservation would; the value range itself comes from
         // the contiguous cursor, which is what makes mixed-size blocks
-        // tile. The elimination layer keeps this cursor cold by merging
-        // colliding requests upstream.
+        // tile.
         let wire = thread_id % self.network.input_width();
         let _ = self.network.traverse(wire);
         // Relaxed: the single cursor's modification order makes blocks
         // contiguous and disjoint by itself.
         self.block_cursor.fetch_add(k as u64, Ordering::Relaxed)
+    }
+
+    fn try_reserve_block(&self, k: usize) -> Option<u64> {
+        try_advance(&self.block_cursor, k)
     }
 }
 
@@ -261,6 +314,10 @@ impl BlockReserve for CentralCounter {
         assert!(k > 0, "a block reservation needs at least one value");
         // Same word as `next`: blocks and single values mix freely.
         self.value.fetch_add(k as u64, Ordering::Relaxed)
+    }
+
+    fn try_reserve_block(&self, k: usize) -> Option<u64> {
+        try_advance(&self.value, k)
     }
 }
 
@@ -517,6 +574,8 @@ mod tests {
         assert_eq!(base, 0);
         assert_eq!(counter.next(0), 5, "next continues after the block");
         assert_eq!(counter.reserve_block(1, 2), 6);
+        assert_eq!(counter.try_reserve_block(3), Some(8), "the CAS path uses the same word");
+        assert_eq!(counter.next(0), 11);
     }
 
     #[test]
@@ -528,6 +587,111 @@ mod tests {
         let counter = NetworkCounter::new("C(4,8)", &net);
         assert_eq!(counter.reserve_block(2, 3), 0);
         assert_eq!(counter.reserve_block(1, 4), 3);
+    }
+
+    /// The three counters with a lock-free block word, boxed so one
+    /// contract test covers them all.
+    fn cas_block_counters() -> Vec<Box<dyn BlockReserve + Send + Sync>> {
+        let net = counting_network(8, 8).expect("valid");
+        vec![
+            Box::new(CentralCounter::new()),
+            Box::new(NetworkCounter::new("C(8,8)", &net)),
+            Box::new(crate::DiffractingCounter::new(8, 4, 16)),
+        ]
+    }
+
+    /// Runs `threads` threads from one barrier, each making `rounds`
+    /// passes over `k = 1..=8`. A refused `try_reserve_block` falls back
+    /// to `reserve_block` when `fall_back` is set and is dropped
+    /// otherwise. Returns the values handed out.
+    fn race_tries<C: BlockReserve>(
+        counter: &C,
+        threads: usize,
+        rounds: usize,
+        fall_back: bool,
+    ) -> Vec<u64> {
+        let all = StdMutex::new(Vec::new());
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for tid in 0..threads {
+                let (all, start) = (&all, &start);
+                scope.spawn(move || {
+                    let mut local = Vec::new();
+                    start.wait();
+                    for k in (0..rounds).flat_map(|_| 1..=8usize) {
+                        let base = match counter.try_reserve_block(k) {
+                            Some(base) => base,
+                            None if fall_back => counter.reserve_block(tid, k),
+                            None => continue,
+                        };
+                        local.extend(base..base + k as u64);
+                    }
+                    all.lock().expect("poisoned").extend(local);
+                });
+            }
+        });
+        all.into_inner().expect("poisoned")
+    }
+
+    #[test]
+    fn a_stale_cas_is_refused_without_writing() {
+        let word = AtomicU64::new(5);
+        assert_eq!(advance_from(&word, 4, 3), None);
+        assert_eq!(word.load(Ordering::Relaxed), 5, "a refused CAS writes nothing");
+        assert_eq!(advance_from(&word, 5, 3), Some(5));
+        assert_eq!(word.load(Ordering::Relaxed), 8);
+    }
+
+    #[test]
+    fn uncontended_tries_draw_from_the_reserve_block_word() {
+        for counter in cas_block_counters() {
+            assert_eq!(counter.try_reserve_block(3), Some(0), "{}", counter.describe());
+            assert_eq!(counter.reserve_block(1, 2), 3, "{}", counter.describe());
+            assert_eq!(counter.try_reserve_block(4), Some(5), "{}", counter.describe());
+        }
+    }
+
+    #[test]
+    fn refused_tries_leave_the_block_cursor_unchanged() {
+        // Only granted tries may advance the word: after a race of bare
+        // tries, the granted blocks tile 0..granted and the next block
+        // starts right there. How many tries a race refuses depends on
+        // the host (two cores trading one cache line refuse few), so
+        // `a_stale_cas_is_refused_without_writing` pins the refusal
+        // itself and this race checks the invariant either way.
+        for counter in cas_block_counters() {
+            let values = race_tries(&counter, 8, 200, false);
+            assert_values_are_exact_range(&values);
+            assert_eq!(
+                counter.reserve_block(0, 1),
+                values.len() as u64,
+                "{}: a refused try moved the cursor",
+                counter.describe()
+            );
+        }
+    }
+
+    #[test]
+    fn tries_with_fallback_tile_mixed_sizes_exactly() {
+        for counter in cas_block_counters() {
+            let values = race_tries(&counter, 8, 200, true);
+            assert_eq!(values.len(), 8 * 200 * 36, "{}", counter.describe());
+            assert_values_are_exact_range(&values);
+            // Granted and escalated blocks interleave on one word.
+            assert_eq!(counter.try_reserve_block(1), Some(values.len() as u64));
+        }
+    }
+
+    #[test]
+    fn lock_counter_always_refuses_and_arcs_forward() {
+        let lock = LockCounter::new();
+        assert_eq!(lock.try_reserve_block(3), None);
+        assert_eq!(lock.reserve_block(0, 3), 0, "a refusal reserved nothing");
+        let locked: std::sync::Arc<dyn BlockReserve + Send + Sync> = std::sync::Arc::new(lock);
+        assert_eq!(locked.try_reserve_block(1), None);
+        let central: std::sync::Arc<dyn BlockReserve + Send + Sync> =
+            std::sync::Arc::new(CentralCounter::new());
+        assert_eq!(central.try_reserve_block(2), Some(0));
     }
 
     #[test]
@@ -546,6 +710,7 @@ mod tests {
         boxed.next_batch(1, 3, &mut out);
         assert_eq!(out, vec![1, 2, 3]);
         assert_eq!(boxed.reserve_block(2, 4), 4);
+        assert_eq!(boxed.try_reserve_block(2), Some(8));
         assert!(boxed.describe().contains("central"));
     }
 

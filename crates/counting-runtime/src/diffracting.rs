@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam::utils::CachePadded;
 
-use crate::counter::{BlockReserve, SharedCounter};
+use crate::counter::{try_advance, BlockReserve, SharedCounter};
 
 const EMPTY: u64 = 0;
 const WAITING: u64 = 1;
@@ -203,13 +203,18 @@ impl SharedCounter for DiffractingCounter {
 impl BlockReserve for DiffractingCounter {
     fn reserve_block(&self, thread_id: usize, k: usize) -> u64 {
         assert!(k > 0, "a block reservation needs at least one value");
-        // One descent per block: prism collisions still diffract the
-        // traffic on the way down, while the contiguous cursor makes
-        // mixed-size blocks tile (per-leaf stride dispensers cannot).
+        // The contended path: one descent per block, so prism collisions
+        // still diffract the traffic on the way down, while the
+        // contiguous cursor makes mixed-size blocks tile (per-leaf stride
+        // dispensers cannot).
         let _ = self.descend(thread_id);
         // Relaxed: the single cursor's modification order makes blocks
         // contiguous and disjoint by itself.
         self.block_cursor.fetch_add(k as u64, Ordering::Relaxed)
+    }
+
+    fn try_reserve_block(&self, k: usize) -> Option<u64> {
+        try_advance(&self.block_cursor, k)
     }
 }
 

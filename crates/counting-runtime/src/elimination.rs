@@ -655,6 +655,13 @@ impl<C: BlockReserve> BlockReserve for EliminationCounter<C> {
         assert!(k > 0, "a block reservation needs at least one value");
         self.reserve(thread_id, k)
     }
+
+    /// Forwards to the wrapped counter's single CAS. The arena is the
+    /// contended path, so an uncontended attempt neither publishes an
+    /// offer nor moves [`Self::collisions`] or [`Self::fallbacks`].
+    fn try_reserve_block(&self, k: usize) -> Option<u64> {
+        self.inner.try_reserve_block(k)
+    }
 }
 
 #[cfg(test)]
@@ -1117,6 +1124,24 @@ mod tests {
                 assert_exact_range(&values);
             }
         }
+    }
+
+    #[test]
+    fn try_reserve_block_bypasses_the_arena() {
+        let counter = EliminationCounter::new(CentralCounter::new());
+        assert_eq!(counter.try_reserve_block(3), Some(0));
+        assert_eq!(counter.try_reserve_block(5), Some(3));
+        assert_eq!(counter.collisions(), 0, "a try never merges");
+        assert_eq!(counter.fallbacks(), 0, "a try is not an arena fallback");
+        assert!(
+            counter.slots.iter().all(|slot| slot.load(Ordering::Acquire) == EMPTY),
+            "a try publishes no offer"
+        );
+        // The contended path continues the same stream and does count.
+        assert_eq!(counter.reserve_block(0, 2), 8);
+        assert_eq!(counter.fallbacks(), 1);
+        let lock = EliminationCounter::new(LockCounter::new());
+        assert_eq!(lock.try_reserve_block(1), None, "forwards the inner refusal");
     }
 
     #[test]

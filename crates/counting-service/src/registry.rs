@@ -20,15 +20,22 @@
 //!   backend lives behind `Box<dyn BlockReserve + Send + Sync>`, which
 //!   is what the `Box`/`Arc` delegation impls in `counting-runtime`
 //!   exist for.
-//! * **Block-reserved hand-outs** — every tenant stream is drawn through
-//!   [`BlockReserve::reserve_block`], never through stride dispensers,
-//!   so each tenant's hand-out tiles `0..issued` at every quiescent
-//!   point for *any* mix of batch sizes and *any* operation count — the
-//!   property the per-tenant invariant checks of `exp_service` and the
-//!   torture suite gate on. (Network-backed tenants still pay one
-//!   traversal per operation, preserving the paper's
-//!   contention-diffusing traffic shape; wrapping with the elimination
-//!   arena merges colliding tenants' requests on top.)
+//! * **Block-reserved hand-outs** — every tenant stream is drawn as
+//!   contiguous [`BlockReserve`] blocks, never through stride
+//!   dispensers, so each tenant's hand-out tiles `0..issued` at every
+//!   quiescent point for *any* mix of batch sizes and *any* operation
+//!   count — the property the per-tenant invariant checks of
+//!   `exp_service` and the torture suite gate on.
+//! * **Contention-reactive escalation** — a hand-out first makes one
+//!   [`BlockReserve::try_reserve_block`] attempt, a single CAS on the
+//!   backend's block cursor. Only when that CAS loses to a concurrent
+//!   reservation does it escalate through
+//!   [`BlockReserve::reserve_block`]: the elimination arena (if
+//!   configured) merges colliding requests, then the network-backed
+//!   backends pace the block through one traversal of their balancer
+//!   fabric, and finally the cursor `fetch_add`. The counting network
+//!   is thus the structured backoff behind the arena: an uncontended
+//!   tenant pays for neither.
 //! * **Uniqueness across eviction** — evicting an idle tenant records
 //!   its high-water mark; a later [`CounterService::get_or_create`] for
 //!   the same name resumes the stream at that offset (see
@@ -171,10 +178,12 @@ impl ServiceConfig {
 /// stopped, so the *tenant's* stream stays unique and gap-free across
 /// instances even though each backend instance counts from zero.
 ///
-/// All hand-outs go through [`BlockReserve::reserve_block`] on the
-/// backend, so the instance's raw values tile `0..issued` at every
-/// quiescent point regardless of batch-size mix — which is exactly what
-/// makes `base + issued` a resumable watermark.
+/// All hand-outs are [`BlockReserve`] blocks of the backend — a
+/// [`BlockReserve::try_reserve_block`] attempt, escalating to
+/// [`BlockReserve::reserve_block`] when it is refused. Both draw from one
+/// word, so the instance's raw values tile `0..issued` at every quiescent
+/// point regardless of batch-size mix — which is exactly what makes
+/// `base + issued` a resumable watermark.
 pub struct TenantCounter {
     tenant: String,
     inner: Box<dyn BlockReserve + Send + Sync>,
@@ -241,9 +250,13 @@ impl TenantCounter {
     }
 
     /// One block reservation against the backend, offset into the
-    /// tenant's stream.
+    /// tenant's stream: one cursor CAS first, and the contended path
+    /// (arena → traversal → cursor `fetch_add`) only if it is refused.
     fn reserve(&self, thread_id: usize, k: usize) -> u64 {
-        let raw = self.inner.reserve_block(thread_id, k);
+        let raw = self
+            .inner
+            .try_reserve_block(k)
+            .unwrap_or_else(|| self.inner.reserve_block(thread_id, k));
         // Relaxed: the count is published to the eviction path by the
         // handle's release drop + the registry's Acquire fence (see
         // `issued`), not by this RMW's ordering.
@@ -425,6 +438,16 @@ impl CounterService {
     /// gets a handle to the same instance.
     #[must_use]
     pub fn get_or_create(&self, tenant: &str) -> Arc<TenantCounter> {
+        self.get_or_create_with(tenant, || self.build_backend())
+    }
+
+    /// [`Self::get_or_create`] with the backend built by `build` instead
+    /// of from the service config.
+    fn get_or_create_with(
+        &self,
+        tenant: &str,
+        build: impl FnOnce() -> Box<dyn BlockReserve + Send + Sync>,
+    ) -> Arc<TenantCounter> {
         let shard = self.shard_of(tenant);
         if let Some(counter) = shard.read().live.get(tenant) {
             return Arc::clone(counter);
@@ -436,7 +459,7 @@ impl CounterService {
             return Arc::clone(counter);
         }
         let base = state.watermarks.get(tenant).copied().unwrap_or(0);
-        let counter = Arc::new(TenantCounter::new(tenant, self.build_backend(), base));
+        let counter = Arc::new(TenantCounter::new(tenant, build(), base));
         state.live.insert(tenant.to_owned(), Arc::clone(&counter));
         counter
     }
@@ -718,6 +741,74 @@ mod tests {
         let live = service.get_or_create("stream");
         assert!(!service.restore_watermark("stream", 100));
         assert_eq!(live.base(), 8);
+    }
+
+    /// A backend whose `try_reserve_block` refuses every other call, so
+    /// a tenant's hand-outs alternate between the one-CAS path and the
+    /// contended `reserve_block` path on a fixed schedule.
+    struct EveryOtherRefused {
+        inner: CentralCounter,
+        tries: std::sync::atomic::AtomicU64,
+        escalations: Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl SharedCounter for EveryOtherRefused {
+        fn next(&self, thread_id: usize) -> u64 {
+            self.reserve_block(thread_id, 1)
+        }
+
+        fn describe(&self) -> String {
+            "every-other-refused".into()
+        }
+    }
+
+    impl BlockReserve for EveryOtherRefused {
+        fn reserve_block(&self, thread_id: usize, k: usize) -> u64 {
+            self.escalations.fetch_add(1, Ordering::Relaxed);
+            self.inner.reserve_block(thread_id, k)
+        }
+
+        fn try_reserve_block(&self, k: usize) -> Option<u64> {
+            if self.tries.fetch_add(1, Ordering::Relaxed) % 2 == 1 {
+                return None;
+            }
+            self.inner.try_reserve_block(k)
+        }
+    }
+
+    #[test]
+    fn refused_tries_escalate_and_the_stream_resumes_exactly() {
+        let service = network_service(true);
+        let escalations = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let double = || -> Box<dyn BlockReserve + Send + Sync> {
+            Box::new(EveryOtherRefused {
+                inner: CentralCounter::new(),
+                tries: Default::default(),
+                escalations: Arc::clone(&escalations),
+            })
+        };
+        let sizes = [3usize, 1, 7, 2, 5, 8, 4, 6];
+        let per_instance: u64 = sizes.iter().map(|&k| k as u64).sum();
+        let mut values = Vec::new();
+        for instance in 1..=2u64 {
+            let counter = service.get_or_create_with("mixed", double);
+            assert_eq!(counter.base(), (instance - 1) * per_instance, "resumes at the watermark");
+            for (i, &k) in sizes.iter().enumerate() {
+                counter.next_batch(i, k, &mut values);
+            }
+            assert_eq!(
+                escalations.load(Ordering::Relaxed),
+                instance * sizes.len() as u64 / 2,
+                "every other hand-out took the contended path"
+            );
+            drop(counter);
+            assert_eq!(
+                service.try_evict("mixed"),
+                EvictOutcome::Evicted { watermark: instance * per_instance }
+            );
+        }
+        values.sort_unstable();
+        assert_eq!(values, (0..2 * per_instance).collect::<Vec<u64>>(), "both instances tile");
     }
 
     #[test]

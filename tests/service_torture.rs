@@ -9,10 +9,13 @@
 //! it up).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
+use counting_networks::efficient::counting_network;
 use counting_networks::runtime::stress::ValueBitmap;
-use counting_networks::runtime::{SharedCounter, WaitStrategy};
+use counting_networks::runtime::{
+    EliminationConfig, EliminationCounter, NetworkCounter, SharedCounter, WaitStrategy,
+};
 use counting_networks::service::{
     Backend, CounterService, EvictOutcome, ServiceConfig, TenantCounter,
 };
@@ -114,6 +117,60 @@ fn eviction_under_traffic_never_violates_per_tenant_uniqueness() {
         for (i, tenant) in tenants.iter().enumerate() {
             assert_tenant_dense(tenant, &bitmaps[i], service.watermark(tenant));
         }
+    }
+}
+
+/// Eight threads on one hot `Network+elim` tenant: a hand-out whose
+/// cursor CAS loses escalates through the elimination arena and the
+/// network traversal, and the tenant's stream still tiles exactly.
+///
+/// The tenant is built the way the service builds it, but with a handle
+/// on the arena, whose merges plus fallbacks count the escalations.
+/// Threads keep going past their quota until one escalation is seen (or
+/// a cap is hit): a short quota can finish before the next thread wakes.
+/// On a 1-cpu host the threads may never interleave inside the CAS
+/// window, so only hosts with more cpus must see an escalation.
+#[test]
+fn hot_network_elim_tenant_tiles_when_cas_failures_escalate() {
+    let threads = 8usize;
+    let ops = ops_per_thread();
+    let cap = ops.max(50_000);
+    let net = counting_network(8, 8).expect("valid");
+    let arena = Arc::new(EliminationCounter::with_config(
+        NetworkCounter::new("C(8,8)", &net),
+        EliminationConfig { strategy: WaitStrategy::SpinYield, ..EliminationConfig::default() },
+    ));
+    let escalations = || arena.collisions() + arena.fallbacks();
+    let tenant = TenantCounter::new("hot", Box::new(Arc::clone(&arena)), 0);
+    let bitmap = ValueBitmap::new(threads as u64 * cap * 8); // max k below is 8
+    let duplicates = AtomicU64::new(0);
+    let start = Barrier::new(threads);
+    std::thread::scope(|scope| {
+        for tid in 0..threads {
+            let (tenant, bitmap, duplicates, start) = (&tenant, &bitmap, &duplicates, &start);
+            let escalations = &escalations;
+            scope.spawn(move || {
+                let mut scratch = Vec::new();
+                start.wait();
+                for op in 0..cap {
+                    if op >= ops && op % 64 == 0 && escalations() > 0 {
+                        break;
+                    }
+                    scratch.clear();
+                    tenant.next_batch(tid, 1 + (op as usize + tid) % 8, &mut scratch);
+                    for &value in &scratch {
+                        if !bitmap.mark(value) {
+                            duplicates.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(duplicates.load(Ordering::Relaxed), 0);
+    assert_tenant_dense("hot", &bitmap, tenant.watermark());
+    if std::thread::available_parallelism().map_or(1, usize::from) > 1 {
+        assert!(escalations() > 0, "8 threads on one tenant never lost a cursor CAS");
     }
 }
 
